@@ -329,6 +329,43 @@ func TestMergeTicksPure(t *testing.T) {
 	}
 }
 
+// TickStats.Fold is the one stats fold behind the shard's per-channel
+// VCs and MergeTicks: counts and seconds sum, Phase1Optimal ANDs,
+// Phase1Warm and Replayed OR, and the last degraded reason wins.
+func TestTickStatsFold(t *testing.T) {
+	a := server.TickStats{Slot: 3, Reports: 4, Eligible: 3, Selected: 2, Swaps: 1,
+		Phase1Optimal: true, CompactSec: 0.5, Phase1Sec: 0.25, Phase2Sec: 0.125,
+		CPUSec: 1, DurationSec: 2, CacheHits: 5, CacheMisses: 6, CacheEvictions: 7,
+		Phase1Nodes: 8, Phase1Warm: true, Degraded: true, DegradedReason: "deadline:phase1-greedy"}
+	b := server.TickStats{Slot: 3, Reports: 1, Eligible: 1, Selected: 1, Swaps: 2,
+		CompactSec: 0.5, Phase1Sec: 0.25, Phase2Sec: 0.125, CPUSec: 1, DurationSec: 2,
+		CacheHits: 1, CacheMisses: 1, CacheEvictions: 1, Phase1Nodes: 1, Replayed: true,
+		Degraded: true, DegradedReason: "deadline:phase2-skipped"}
+	cases := []struct {
+		name  string
+		parts []server.TickStats
+		want  server.TickStats
+	}{
+		{"empty", nil, server.TickStats{Slot: 3, Phase1Optimal: true}},
+		{"identity", []server.TickStats{a}, a},
+		{"two", []server.TickStats{a, b}, server.TickStats{Slot: 3, Reports: 5, Eligible: 4,
+			Selected: 3, Swaps: 3, Phase1Optimal: false, CompactSec: 1, Phase1Sec: 0.5,
+			Phase2Sec: 0.25, CPUSec: 2, DurationSec: 4, CacheHits: 6, CacheMisses: 7,
+			CacheEvictions: 8, Phase1Nodes: 9, Phase1Warm: true, Replayed: true,
+			Degraded: true, DegradedReason: "deadline:phase2-skipped"}},
+		{"clean part keeps reason", []server.TickStats{a, {Slot: 3, Phase1Optimal: true}}, a},
+	}
+	for _, c := range cases {
+		got := server.TickStats{Slot: 3, Phase1Optimal: true}
+		for _, p := range c.parts {
+			got.Fold(p)
+		}
+		if got != c.want {
+			t.Errorf("%s: got %+v\nwant %+v", c.name, got, c.want)
+		}
+	}
+}
+
 // Killing one shard degrades the tick instead of failing it; killing
 // all shards fails it with shard_unavailable.
 func TestRouterKillOneShard(t *testing.T) {

@@ -28,7 +28,9 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,9 +101,12 @@ func (r *Request) Validate() error {
 // Schedule's tie-breaks are deterministic for a given input order, so
 // callers that accumulate requests in an order-free structure (the edge
 // daemon's pending map) must canonicalise before scheduling to get
-// run-to-run reproducible decisions.
+// run-to-run reproducible decisions. The batch's DeviceIDs must be
+// unique — true of the values of a map keyed by DeviceID — because the
+// sort is not stable: requests sharing an ID would land in an
+// unspecified order.
 func SortRequests(reqs []Request) {
-	sort.SliceStable(reqs, func(a, b int) bool { return reqs[a].DeviceID < reqs[b].DeviceID })
+	slices.SortFunc(reqs, func(a, b Request) int { return strings.Compare(a.DeviceID, b.DeviceID) })
 }
 
 // Reason is a per-device decision explanation code: why a device did

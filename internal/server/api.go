@@ -83,6 +83,35 @@ type TickStats struct {
 	DegradedReason string `json:"degraded_reason,omitempty"`
 }
 
+// Fold adds one part of a tick — a shard's channel VC, or a whole
+// shard's tick at the router — into t: counts and seconds sum,
+// Phase1Optimal ANDs, Phase1Warm and Replayed OR, and the last degraded
+// part's reason wins. Slot is t's own; an accumulator starts as
+// TickStats{Slot: slot, Phase1Optimal: true}, and callers that know the
+// true wall time overwrite the summed DurationSec.
+func (t *TickStats) Fold(o TickStats) {
+	t.Reports += o.Reports
+	t.Eligible += o.Eligible
+	t.Selected += o.Selected
+	t.Swaps += o.Swaps
+	t.Phase1Optimal = t.Phase1Optimal && o.Phase1Optimal
+	t.CompactSec += o.CompactSec
+	t.Phase1Sec += o.Phase1Sec
+	t.Phase2Sec += o.Phase2Sec
+	t.CPUSec += o.CPUSec
+	t.DurationSec += o.DurationSec
+	t.CacheHits += o.CacheHits
+	t.CacheMisses += o.CacheMisses
+	t.CacheEvictions += o.CacheEvictions
+	t.Phase1Nodes += o.Phase1Nodes
+	t.Phase1Warm = t.Phase1Warm || o.Phase1Warm
+	t.Replayed = t.Replayed || o.Replayed
+	if o.Degraded {
+		t.Degraded = true
+		t.DegradedReason = o.DegradedReason
+	}
+}
+
 // TickResponse summarises a scheduling round. The flat counters are
 // kept for older clients; Sched carries the full breakdown.
 type TickResponse struct {

@@ -86,10 +86,10 @@ type channelStat struct {
 }
 
 // fleetTickLocked folds one finished tick into the per-channel and
-// per-stream telemetry. A standalone tick passes its one decision; a
-// shard tick passes one per channel VC. Called with s.mu held,
-// strictly after the decisions are final (observation only).
-func (s *Server) fleetTickLocked(reqs []scheduler.Request, decs []scheduler.Decision) {
+// per-stream telemetry: its requests and every VC's decision. Called
+// with s.mu held, strictly after the decisions are final (observation
+// only).
+func (s *Server) fleetTickLocked(reqs []scheduler.Request, vcs []scheduler.VCDecision) {
 	// Per-tick channel aggregates.
 	type agg struct {
 		devices, admitted, eligible, selected int
@@ -119,13 +119,13 @@ func (s *Server) fleetTickLocked(reqs []scheduler.Request, decs []scheduler.Deci
 			a.admitted++
 		}
 	}
-	for i := range decs {
-		for id, v := range decs[i].Verdicts {
+	for i := range vcs {
+		for id, v := range vcs[i].Decision.Verdicts {
 			if _, a := chOf(id); a != nil && v.Eligible {
 				a.eligible++
 			}
 		}
-		for id, on := range decs[i].Transform {
+		for id, on := range vcs[i].Decision.Transform {
 			if _, a := chOf(id); a != nil && on {
 				a.selected++
 			}

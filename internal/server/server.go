@@ -10,7 +10,9 @@ import (
 	"log/slog"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -226,17 +228,9 @@ type Server struct {
 	slot    int
 	pending map[string]scheduler.Request
 	// reqScratch is the tick's request batch, reused across ticks so
-	// the steady state allocates no per-tick slice. Safe to overwrite
-	// each tick: the audit log copies requests into its own records and
-	// the incremental scheduler rebinds its cached plan pointers to the
-	// current slice before any dereference (internal/scheduler
-	// incremental.go).
+	// the steady state allocates no per-tick slice (see tickLocked).
 	reqScratch []scheduler.Request
-	// decScratch carries the single decision of a standalone tick into
-	// the (multi-decision) fleet fold without a per-tick allocation.
-	decScratch [1]scheduler.Decision
 	devices    map[string]*deviceState
-	lastSel    int
 	lastTick   TickStats
 	tickSeen   bool
 	// shardMap is the installed federation map (nil outside shard
@@ -604,26 +598,54 @@ func (s *Server) acceptReportLocked(req ReportRequest) *apiError {
 	st.channel = channel
 	s.pending[req.DeviceID] = sreq
 	s.metrics.reports.Inc()
-	s.log.Debug("report accepted",
-		"device", req.DeviceID, "channel", st.channel,
-		"energy_frac", req.EnergyFrac, "slot", s.slot)
+	// Guarded: boxing the arguments allocates on every report even when
+	// the handler would drop the record.
+	if s.log.Enabled(context.TODO(), slog.LevelDebug) {
+		s.log.Debug("report accepted",
+			"device", req.DeviceID, "channel", st.channel,
+			"energy_frac", req.EnergyFrac, "slot", s.slot)
+	}
 	return nil
 }
 
 func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	stats, _, _, err := s.tickLocked(r.Context(), false)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, CodeInternal, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, TickResponse{
+		Slot:     stats.Slot,
+		Reports:  stats.Reports,
+		Eligible: stats.Eligible,
+		Selected: stats.Selected,
+		Swaps:    stats.Swaps,
+		Degraded: stats.Degraded,
+		Sched:    stats,
+	})
+}
 
+// tickLocked runs one scheduling round over the pending reports: the
+// one tick path behind POST /v1/tick and POST /v1/shard/tick, which
+// differ only in how requests group into VCs (groupVCsLocked). It
+// returns the tick's stats plus the VCs and their decisions,
+// index-aligned. Caller holds s.mu.
+func (s *Server) tickLocked(ctx context.Context, perChannel bool) (TickStats, []scheduler.VC, *scheduler.PoolResult, error) {
 	start := time.Now()
-	tickCtx := r.Context()
 	if s.cfg.SchedDeadline > 0 {
 		// Anytime mode: the scheduler reads the deadline (never the
 		// cancellation) and degrades deterministically on expiry.
 		var cancel context.CancelFunc
-		tickCtx, cancel = context.WithTimeout(tickCtx, s.cfg.SchedDeadline)
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.SchedDeadline)
 		defer cancel()
 	}
-	ctx, sp := s.tracer.Start(tickCtx, "tick")
+	name := "tick"
+	if perChannel {
+		name = "shard-tick"
+	}
+	ctx, sp := s.tracer.Start(ctx, name)
 	sp.SetInt("slot", s.slot)
 	reqs := s.reqScratch[:0]
 	for _, r := range s.pending {
@@ -633,113 +655,134 @@ func (s *Server) handleTick(w http.ResponseWriter, r *http.Request) {
 	// scheduler's tie-breaks are only deterministic for a fixed input
 	// order. Sorting by DeviceID makes every tick reproducible.
 	scheduler.SortRequests(reqs)
-	// The VC ID carries the slot number for audit records and spans; the
-	// stable StateKey links consecutive slots into one incremental
-	// scheduling stream (the cross-slot caches would otherwise miss every
-	// tick because the key changes).
-	vcID := fmt.Sprintf("slot-%d", s.slot)
-	pres, err := s.pool.DecideCtx(ctx, []scheduler.VC{
-		{ID: vcID, StateKey: "edge", Requests: reqs},
-	})
+	vcs := s.groupVCsLocked(reqs, perChannel)
+	// The pool returns decisions in VC-ID order, so pres.VCs[i] is vcs[i].
+	pres, err := s.pool.DecideCtx(ctx, vcs)
 	if err != nil {
 		sp.End()
-		s.log.Error("tick failed", "slot", s.slot, "reports", len(reqs), "err", err)
-		writeError(w, http.StatusInternalServerError, CodeInternal, err)
-		return
+		s.log.Error(name+" failed", "slot", s.slot, "reports", len(reqs), "err", err)
+		return TickStats{}, nil, nil, err
 	}
-	dec := pres.Decision()
+	stats := TickStats{Slot: s.slot, Phase1Optimal: true}
+	for i := range pres.VCs {
+		dec := &pres.VCs[i].Decision
+		stats.Fold(TickStats{
+			Reports:        len(vcs[i].Requests),
+			Eligible:       dec.Eligible,
+			Selected:       dec.Selected,
+			Swaps:          dec.Swaps,
+			Phase1Optimal:  dec.OptimalPhase1,
+			CompactSec:     dec.CompactSeconds,
+			Phase1Sec:      dec.Phase1Seconds,
+			Phase2Sec:      dec.Phase2Seconds,
+			CacheHits:      dec.PlanCacheHits,
+			CacheMisses:    dec.PlanCacheMisses,
+			CacheEvictions: dec.PlanCacheEvictions,
+			Phase1Nodes:    dec.Phase1Nodes,
+			Phase1Warm:     dec.Phase1Warm,
+			Replayed:       dec.Replayed,
+			Degraded:       dec.Degraded.Any(),
+			DegradedReason: dec.Degraded.Reason(),
+		})
+	}
+	stats.CPUSec = pres.CPUSeconds
 	sp.SetInt("reports", len(reqs))
-	sp.SetInt("selected", dec.Selected)
+	sp.SetInt("vcs", len(vcs))
+	sp.SetInt("selected", stats.Selected)
 	sp.End()
-	for id, on := range dec.Transform {
-		if st, ok := s.devices[id]; ok {
-			st.transform = on
-			st.slot = s.slot
-		}
-	}
-	for id, v := range dec.Verdicts {
-		if st, ok := s.devices[id]; ok {
-			st.verdict = v
-			st.hasVerdict = true
-		}
-	}
-	if s.audit != nil {
-		rec := audit.NewRecord(s.slot, vcID, s.pool.Scheduler().Config(), reqs, dec)
-		rec.UnixSec = float64(time.Now().UnixNano()) / 1e9
-		rec.TraceID = sp.TraceID()
-		// Encode once and tee the same bytes to the audit log and the
-		// flight recorder's tail ring, so a bundle's embedded records
-		// are byte-exact copies of the logged ones. The tail mirrors
-		// the log — a daemon without -audit-dir captures bundles with
-		// no audit section, and the tick path never pays for encoding
-		// a record nobody persists.
-		line, err := rec.Encode()
-		switch {
-		case err != nil:
-			s.log.Error("audit encode failed", "slot", s.slot, "err", err)
-		default:
-			if s.audit != nil {
-				if err := s.audit.AppendLine(line); err != nil {
-					// Auditing is an observer: a full disk must not take
-					// the scheduling path down with it.
-					s.log.Error("audit append failed", "slot", s.slot, "err", err)
-				}
-			}
-			if s.flight != nil {
-				s.flight.NoteAudit(line)
+	for i := range pres.VCs {
+		dec := &pres.VCs[i].Decision
+		for id, on := range dec.Transform {
+			if st, ok := s.devices[id]; ok {
+				st.transform = on
+				st.slot = s.slot
 			}
 		}
+		for id, v := range dec.Verdicts {
+			if st, ok := s.devices[id]; ok {
+				st.verdict = v
+				st.hasVerdict = true
+			}
+		}
+		if s.audit != nil {
+			// A shard labels records "slot-N/<channel>"; each replays
+			// on its own, exactly like a standalone record.
+			auditVC := vcs[i].ID
+			if perChannel {
+				auditVC = fmt.Sprintf("slot-%d/%s", s.slot, auditVC)
+			}
+			s.auditLocked(auditVC, vcs[i].Requests, dec, sp.TraceID())
+		}
 	}
-	s.lastSel = dec.Selected
-	stats := TickStats{
-		Slot:           s.slot,
-		Reports:        len(reqs),
-		Eligible:       dec.Eligible,
-		Selected:       dec.Selected,
-		Swaps:          dec.Swaps,
-		Phase1Optimal:  dec.OptimalPhase1,
-		CompactSec:     dec.CompactSeconds,
-		Phase1Sec:      dec.Phase1Seconds,
-		Phase2Sec:      dec.Phase2Seconds,
-		CPUSec:         pres.CPUSeconds,
-		DurationSec:    time.Since(start).Seconds(),
-		CacheHits:      dec.PlanCacheHits,
-		CacheMisses:    dec.PlanCacheMisses,
-		CacheEvictions: dec.PlanCacheEvictions,
-		Phase1Nodes:    dec.Phase1Nodes,
-		Phase1Warm:     dec.Phase1Warm,
-		Replayed:       dec.Replayed,
-		Degraded:       dec.Degraded.Any(),
-		DegradedReason: dec.Degraded.Reason(),
-	}
+	stats.DurationSec = time.Since(start).Seconds()
 	if stats.Degraded {
 		s.degraded.Add(1)
 	}
 	s.lastTick = stats
 	s.observeTick(stats)
-	s.decScratch[0] = dec
-	s.fleetTickLocked(reqs, s.decScratch[:])
-	s.log.Info("tick",
-		"slot", stats.Slot, "reports", stats.Reports,
+	s.fleetTickLocked(reqs, pres.VCs)
+	s.log.Info(name,
+		"slot", stats.Slot, "node", s.cfg.NodeID, "vcs", len(vcs), "reports", stats.Reports,
 		"eligible", stats.Eligible, "selected", stats.Selected,
 		"swaps", stats.Swaps, "phase1_optimal", stats.Phase1Optimal,
 		"duration_ms", stats.DurationSec*1000)
-	resp := TickResponse{
-		Slot:     s.slot,
-		Reports:  len(reqs),
-		Eligible: dec.Eligible,
-		Selected: dec.Selected,
-		Swaps:    dec.Swaps,
-		Degraded: stats.Degraded,
-		Sched:    stats,
-	}
 	// Steady-state reuse (DESIGN.md §16): keep the request slice's
-	// backing array for the next tick and clear the pending map in
-	// place — at a stable fleet size the tick allocates neither.
+	// backing array and clear the pending map in place. Overwriting the
+	// slice next tick is safe: audit records copy requests, and the
+	// incremental scheduler rebinds its cached plan pointers first.
 	s.reqScratch = reqs
 	clear(s.pending)
 	s.slot++
-	writeJSON(w, http.StatusOK, resp)
+	return stats, vcs, pres, nil
+}
+
+// groupVCsLocked splits a tick's ID-sorted requests into VCs, in
+// VC-ID order. Edge mode: exactly one VC, "slot-N", whose stable state
+// key "edge" links consecutive slots into one incremental stream.
+// Shard mode: one VC per channel, keyed "ch:<id>" so the stream
+// survives reshard handoff; each group keeps the device-ID order the
+// scheduler's tie-breaks need. Caller holds s.mu.
+func (s *Server) groupVCsLocked(reqs []scheduler.Request, perChannel bool) []scheduler.VC {
+	if !perChannel {
+		return []scheduler.VC{{ID: fmt.Sprintf("slot-%d", s.slot), StateKey: "edge", Requests: reqs}}
+	}
+	byCh := map[string][]scheduler.Request{}
+	for _, r := range reqs {
+		// Every pending report has a device: acceptReportLocked and the
+		// snapshot restore both commit the device with the report.
+		ch := s.devices[r.DeviceID].channel
+		byCh[ch] = append(byCh[ch], r)
+	}
+	vcs := make([]scheduler.VC, 0, len(byCh))
+	for ch, group := range byCh {
+		vcs = append(vcs, scheduler.VC{ID: ch, StateKey: "ch:" + ch, Requests: group})
+	}
+	slices.SortFunc(vcs, func(a, b scheduler.VC) int { return strings.Compare(a.ID, b.ID) })
+	return vcs
+}
+
+// auditLocked appends one VC's audit record, encoding it once and
+// teeing the same bytes to the flight recorder's tail, so bundles embed
+// byte-exact copies of logged records (and a daemon without -audit-dir
+// never encodes one). Caller holds s.mu and has checked s.audit.
+func (s *Server) auditLocked(vc string, reqs []scheduler.Request, dec *scheduler.Decision, traceID string) {
+	rec := audit.NewRecord(s.slot, vc, s.pool.Scheduler().Config(), reqs, *dec)
+	rec.UnixSec = float64(time.Now().UnixNano()) / 1e9
+	rec.TraceID = traceID
+	line, err := rec.Encode()
+	if err != nil {
+		s.log.Error("audit encode failed", "slot", s.slot, "vc", vc, "err", err)
+		return
+	}
+	if err := s.audit.AppendLine(line); err != nil {
+		// Auditing is an observer: a full disk must not take the
+		// scheduling path down with it.
+		s.log.Error("audit append failed", "slot", s.slot, "vc", vc, "err", err)
+		return
+	}
+	if s.flight != nil {
+		s.flight.NoteAudit(line)
+	}
 }
 
 func (s *Server) handleDecision(w http.ResponseWriter, r *http.Request) {
@@ -887,9 +930,11 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.metrics.observations.Inc()
-	s.log.Debug("observation",
-		"device", req.DeviceID, "reduction", req.Reduction,
-		"gamma", st.estimator.Gamma(), "observations", st.estimator.Observations())
+	if s.log.Enabled(ctx, slog.LevelDebug) {
+		s.log.Debug("observation",
+			"device", req.DeviceID, "reduction", req.Reduction,
+			"gamma", st.estimator.Gamma(), "observations", st.estimator.Observations())
+	}
 	writeJSON(w, http.StatusOK, ObserveResponse{
 		Gamma:        st.estimator.Gamma(),
 		Observations: st.estimator.Observations(),
@@ -933,7 +978,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		Slot:           s.slot,
 		Devices:        len(s.devices),
 		PendingReports: len(s.pending),
-		LastSelected:   s.lastSel,
+		LastSelected:   s.lastTick.Selected,
 		Lambda:         s.cfg.Lambda,
 		StreamChunks:   len(s.cfg.Stream.Chunks),
 		Workers:        s.pool.Workers(),

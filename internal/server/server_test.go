@@ -588,6 +588,34 @@ func TestServerLogsStructured(t *testing.T) {
 	}
 }
 
+// Re-reporting a known device with debug logging off must not pay for
+// the debug line: its boxed arguments used to allocate on every report
+// even though the handler dropped the record.
+func TestReportInfoLoggerAllocs(t *testing.T) {
+	logger, err := obs.NewLogger(io.Discard, "info", "json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Stream: testStream(t), ServerStreams: -1, Lambda: 1, Logger: logger})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := validReport("dev-1")
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if aerr := s.acceptReportLocked(req); aerr != nil {
+		t.Fatal(aerr.Message)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if aerr := s.acceptReportLocked(req); aerr != nil {
+			t.Fatal(aerr.Message)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("re-report of a known device allocates %.1f times with debug off, want 0", allocs)
+	}
+}
+
 func TestConcurrentReports(t *testing.T) {
 	_, ts := testServer(t, -1)
 	const n = 32

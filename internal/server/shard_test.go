@@ -172,6 +172,43 @@ func TestShardTickPerChannelVCs(t *testing.T) {
 	}
 }
 
+// With tracing on, every channel VC's audit record carries the shard
+// tick's trace ID, as a standalone tick's record does — the link a
+// router-to-shard trace follows into the audit log.
+func TestShardTickAuditTraceID(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := shardTestServer(t, Config{
+		ShardMode:    true,
+		NodeID:       "n1",
+		AuditDir:     dir,
+		TraceSample:  1,
+		ExtraStreams: []*video.Video{extraStream(t, "music")},
+	})
+	for i, ch := range []string{"", "music", "music"} {
+		rep := validReport("dev-" + string(rune('a'+i)))
+		rep.ChannelID = ch
+		postJSON(t, ts.URL+"/v1/report", rep, nil)
+	}
+	if resp := postJSON(t, ts.URL+"/v1/shard/tick", nil, nil); resp.StatusCode != 200 {
+		t.Fatalf("shard tick status %d", resp.StatusCode)
+	}
+	recs, err := audit.ReadFile(filepath.Join(dir, "audit.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 {
+		t.Fatalf("got %d audit records, want one per channel", len(recs))
+	}
+	for _, rec := range recs {
+		if rec.TraceID == "" {
+			t.Fatalf("audit record %s has no trace ID", rec.VC)
+		}
+		if rec.TraceID != recs[0].TraceID {
+			t.Fatalf("records of one tick carry traces %s and %s", recs[0].TraceID, rec.TraceID)
+		}
+	}
+}
+
 // Mis-addressed or epoch-skewed ticks are refused with conflict codes
 // so a router never merges a decision computed under a stale map.
 func TestShardTickAddressAndEpochChecks(t *testing.T) {
@@ -304,7 +341,8 @@ func TestShardTickMatchesStandaloneCanonical(t *testing.T) {
 		postJSON(t, shardTS.URL+"/v1/report", rep, nil)
 	}
 
-	if resp := postJSON(t, plainTS.URL+"/v1/tick", nil, nil); resp.StatusCode != 200 {
+	var plainTick TickResponse
+	if resp := postJSON(t, plainTS.URL+"/v1/tick", nil, &plainTick); resp.StatusCode != 200 {
 		t.Fatalf("standalone tick status %d", resp.StatusCode)
 	}
 	var tick ShardTickResponse
@@ -313,6 +351,15 @@ func TestShardTickMatchesStandaloneCanonical(t *testing.T) {
 	}
 	if len(tick.VCs) != 1 {
 		t.Fatalf("single-channel shard tick produced %d VCs", len(tick.VCs))
+	}
+	// Both modes run one tick path, so over one VC the stats agree on
+	// every field but the timings.
+	untimed := func(st TickStats) TickStats {
+		st.CompactSec, st.Phase1Sec, st.Phase2Sec, st.CPUSec, st.DurationSec = 0, 0, 0, 0, 0
+		return st
+	}
+	if got, want := untimed(tick.Sched), untimed(plainTick.Sched); got != want {
+		t.Fatalf("shard tick stats differ from standalone:\nshard:      %+v\nstandalone: %+v", got, want)
 	}
 
 	readRecord := func(dir string) *audit.Record {
