@@ -49,6 +49,9 @@ type GammaEstimator struct {
 	obsSigma float64 // observation noise standard deviation
 	lo, hi   float64 // physical support [GammaL, GammaU]
 	nObs     int     // number of observations folded in
+	// gamma and unc cache Eq. (19) and the truncated standard deviation;
+	// refresh recomputes them wherever the posterior changes.
+	gamma, unc float64
 }
 
 // Option customises a GammaEstimator.
@@ -94,7 +97,14 @@ func NewGammaEstimator(opts ...Option) *GammaEstimator {
 	if e.lo >= e.hi {
 		panic("bayes: invalid gamma bounds")
 	}
+	e.refresh()
 	return e
+}
+
+// refresh recomputes the cached derived values from the posterior.
+func (e *GammaEstimator) refresh() {
+	e.gamma = stats.TruncNormalMean(e.mean, e.sigma, e.lo, e.hi)
+	e.unc = math.Sqrt(stats.TruncNormalVar(e.mean, e.sigma, e.lo, e.hi))
 }
 
 // Observe folds the realised mean reduction ratio of one slot into the
@@ -116,14 +126,13 @@ func (e *GammaEstimator) Observe(obs float64) error {
 	e.mean = post * (e.mean*priorPrec + obs*obsPrec)
 	e.sigma = math.Sqrt(post)
 	e.nObs++
+	e.refresh()
 	return nil
 }
 
 // Gamma returns the scheduler-facing point estimate: the posterior
 // expectation truncated to [lo, hi], i.e. Eq. (19) of the paper.
-func (e *GammaEstimator) Gamma() float64 {
-	return stats.TruncNormalMean(e.mean, e.sigma, e.lo, e.hi)
-}
+func (e *GammaEstimator) Gamma() float64 { return e.gamma }
 
 // Mean returns the untruncated posterior mean.
 func (e *GammaEstimator) Mean() float64 { return e.mean }
@@ -139,14 +148,14 @@ func (e *GammaEstimator) Bounds() (lo, hi float64) { return e.lo, e.hi }
 
 // Uncertainty returns the standard deviation of the truncated posterior,
 // a convenient measure of how much more evidence is needed.
-func (e *GammaEstimator) Uncertainty() float64 {
-	return math.Sqrt(stats.TruncNormalVar(e.mean, e.sigma, e.lo, e.hi))
-}
+func (e *GammaEstimator) Uncertainty() float64 { return e.unc }
 
 // Snapshot is a view of one estimator's posterior: cheap to aggregate
 // across a cluster for metrics exposition, and — because it carries
 // every persistent parameter — sufficient to rebuild the estimator
-// bit-for-bit via FromSnapshot (durable state, DESIGN.md §14).
+// bit-for-bit via FromSnapshot (durable state, DESIGN.md §14). Gamma
+// and Uncertainty are the estimator's cached values, so taking a
+// snapshot evaluates no truncated-normal integral.
 type Snapshot struct {
 	// Gamma is the scheduler-facing truncated posterior expectation.
 	Gamma float64
@@ -166,10 +175,10 @@ type Snapshot struct {
 // Snapshot captures the estimator's current posterior state.
 func (e *GammaEstimator) Snapshot() Snapshot {
 	return Snapshot{
-		Gamma:        e.Gamma(),
+		Gamma:        e.gamma,
 		Mean:         e.mean,
 		Sigma:        e.sigma,
-		Uncertainty:  e.Uncertainty(),
+		Uncertainty:  e.unc,
 		Observations: e.nObs,
 		ObsSigma:     e.obsSigma,
 		Lo:           e.lo,
@@ -181,7 +190,7 @@ func (e *GammaEstimator) Snapshot() Snapshot {
 // restore half of the durable-state path (DESIGN.md §14). The five
 // persistent parameters (Mean, Sigma, ObsSigma, Lo, Hi) plus the
 // observation count determine the estimator exactly; the derived
-// Gamma and Uncertainty fields are ignored and recomputed on demand.
+// Gamma and Uncertainty fields are ignored and recomputed from them.
 // Snapshots that could not have come from a valid estimator are
 // rejected so a corrupted restore fails closed instead of poisoning
 // future decisions.
@@ -201,12 +210,14 @@ func FromSnapshot(s Snapshot) (*GammaEstimator, error) {
 	if s.Observations < 0 {
 		return nil, fmt.Errorf("bayes: snapshot observation count %d", s.Observations)
 	}
-	return &GammaEstimator{
+	e := &GammaEstimator{
 		mean:     s.Mean,
 		sigma:    s.Sigma,
 		obsSigma: s.ObsSigma,
 		lo:       s.Lo,
 		hi:       s.Hi,
 		nObs:     s.Observations,
-	}, nil
+	}
+	e.refresh()
+	return e, nil
 }

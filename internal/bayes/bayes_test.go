@@ -165,18 +165,51 @@ func TestGammaBoundedProperty(t *testing.T) {
 }
 
 func TestSnapshot(t *testing.T) {
-	e := NewGammaEstimator()
-	if err := e.Observe(0.4); err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		opts []Option
+	}{
+		{"default", nil},
+		{"prior", []Option{WithPrior(0.2, 0.1)}},
+		{"bounds", []Option{WithBounds(0.05, 0.6)}},
+	} {
+		e := NewGammaEstimator(tc.opts...)
+		checkCached(t, tc.name+"/new", e)
+		for _, obs := range []float64{0.4, 0.22, 0.35} {
+			if err := e.Observe(obs); err != nil {
+				t.Fatal(err)
+			}
+			checkCached(t, tc.name+"/observe", e)
+		}
+		if err := e.Observe(1); err == nil {
+			t.Fatal("observation 1 accepted")
+		}
+		checkCached(t, tc.name+"/rejected", e)
+		snap := e.Snapshot()
+		if snap.Gamma != e.Gamma() || snap.Mean != e.Mean() || snap.Sigma != e.Sigma() {
+			t.Fatalf("%s: snapshot %+v disagrees with accessors", tc.name, snap)
+		}
+		if snap.Observations != 3 {
+			t.Fatalf("%s: observations = %d, want 3", tc.name, snap.Observations)
+		}
+		if snap.Uncertainty != e.Uncertainty() {
+			t.Fatalf("%s: uncertainty %v != %v", tc.name, snap.Uncertainty, e.Uncertainty())
+		}
 	}
-	snap := e.Snapshot()
-	if snap.Gamma != e.Gamma() || snap.Mean != e.Mean() || snap.Sigma != e.Sigma() {
-		t.Fatalf("snapshot %+v disagrees with accessors", snap)
+}
+
+// checkCached asserts that the cached Gamma and Uncertainty carry the
+// exact bits of Eq. (19) and the truncated standard deviation
+// evaluated from the estimator's current posterior.
+func checkCached(t *testing.T, where string, e *GammaEstimator) {
+	t.Helper()
+	lo, hi := e.Bounds()
+	want := stats.TruncNormalMean(e.Mean(), e.Sigma(), lo, hi)
+	if math.Float64bits(e.Gamma()) != math.Float64bits(want) {
+		t.Fatalf("%s: Gamma() = %v, Eq. (19) gives %v", where, e.Gamma(), want)
 	}
-	if snap.Observations != 1 {
-		t.Fatalf("observations = %d, want 1", snap.Observations)
-	}
-	if snap.Uncertainty != e.Uncertainty() {
-		t.Fatalf("uncertainty %v != %v", snap.Uncertainty, e.Uncertainty())
+	wantU := math.Sqrt(stats.TruncNormalVar(e.Mean(), e.Sigma(), lo, hi))
+	if math.Float64bits(e.Uncertainty()) != math.Float64bits(wantU) {
+		t.Fatalf("%s: Uncertainty() = %v, want %v", where, e.Uncertainty(), wantU)
 	}
 }

@@ -23,6 +23,13 @@ func TestFromSnapshotRoundTrip(t *testing.T) {
 	if r.Snapshot() != snap {
 		t.Fatalf("restored snapshot %+v != original %+v", r.Snapshot(), snap)
 	}
+	checkCached(t, "restored", r)
+	// The derived fields are recomputed, never trusted from the input.
+	stale := snap
+	stale.Gamma, stale.Uncertainty = 0, 0
+	if r2, err := FromSnapshot(stale); err != nil || r2.Snapshot() != snap {
+		t.Fatalf("restore from stale derived fields: %v, %+v", err, r2)
+	}
 	if r.Gamma() != e.Gamma() || r.Mean() != e.Mean() || r.Sigma() != e.Sigma() {
 		t.Fatal("restored estimator diverged immediately")
 	}
@@ -38,6 +45,7 @@ func TestFromSnapshotRoundTrip(t *testing.T) {
 		if r.Mean() != e.Mean() || r.Sigma() != e.Sigma() || r.Gamma() != e.Gamma() {
 			t.Fatalf("lockstep divergence after observing %v", obs)
 		}
+		checkCached(t, "restored/observe", r)
 	}
 	if r.Observations() != e.Observations() {
 		t.Fatal("observation counts diverged")

@@ -2,8 +2,11 @@ package server
 
 import (
 	"net/http"
+	"slices"
+	"strings"
 	"time"
 
+	"lpvs/internal/bayes"
 	"lpvs/internal/obs"
 	"lpvs/internal/obs/slo"
 	"lpvs/internal/scheduler"
@@ -85,80 +88,102 @@ type channelStat struct {
 	gammaSeen   bool
 }
 
+// posteriorAgg sums the Bayesian telemetry of one channel's device
+// estimators. Guarded by s.mu and kept current wherever a posterior or
+// a device's channel changes (tallyLocked), so tick and scrape
+// telemetry cost O(channels), not O(known devices).
+type posteriorAgg struct {
+	devices             int
+	observations        int
+	gamma, sigma, uncer float64 // sums of Gamma(), Sigma(), Uncertainty()
+}
+
+// tallyLocked adds (sign 1) or removes (sign -1) one estimator's
+// posterior in channel ch's aggregate: the only writer of s.posterior
+// besides the restore rebuild. Caller holds s.mu.
+func (s *Server) tallyLocked(ch string, e *bayes.GammaEstimator, sign int) {
+	a := s.posterior[ch]
+	if a == nil {
+		a = &posteriorAgg{}
+		s.posterior[ch] = a
+	}
+	a.devices += sign
+	a.observations += sign * e.Observations()
+	f := float64(sign)
+	a.gamma += f * e.Gamma()
+	a.sigma += f * e.Sigma()
+	a.uncer += f * e.Uncertainty()
+	if a.devices == 0 {
+		*a = posteriorAgg{} // drop the rounding residue of the removals
+	}
+}
+
+// gammaStatsLocked sums the per-channel posterior aggregates into the
+// daemon-wide one. Callers hold s.mu.
+func (s *Server) gammaStatsLocked() posteriorAgg {
+	var t posteriorAgg
+	for _, a := range s.posterior {
+		t.devices += a.devices
+		t.observations += a.observations
+		t.gamma += a.gamma
+		t.sigma += a.sigma
+		t.uncer += a.uncer
+	}
+	return t
+}
+
+// mean divides one of the aggregate's sums by its device count (0 for
+// an empty aggregate).
+func (a posteriorAgg) mean(sum float64) float64 {
+	if a.devices == 0 {
+		return 0
+	}
+	return sum / float64(a.devices)
+}
+
 // fleetTickLocked folds one finished tick into the per-channel and
 // per-stream telemetry: its requests and every VC's decision. Called
 // with s.mu held, strictly after the decisions are final (observation
-// only).
+// only). Device counts and gamma means come from s.posterior; the
+// per-tick counts cost O(reports).
 func (s *Server) fleetTickLocked(reqs []scheduler.Request, vcs []scheduler.VCDecision) {
-	// Per-tick channel aggregates.
-	type agg struct {
-		devices, admitted, eligible, selected int
-		gammaSum                              float64
+	// Channels that lost all their devices stay listed with zeroed live
+	// gauges (their lifetime counters remain meaningful).
+	for _, cs := range s.fleet {
+		cs.devices, cs.admitted, cs.eligible, cs.selected = 0, 0, 0, 0
 	}
-	byCh := map[string]*agg{}
-	chOf := func(id string) (string, *agg) {
-		st, ok := s.devices[id]
-		if !ok {
-			return "", nil
+	for ch, a := range s.posterior {
+		if a.devices == 0 {
+			continue
 		}
-		a := byCh[st.channel]
-		if a == nil {
-			a = &agg{}
-			byCh[st.channel] = a
-		}
-		return st.channel, a
-	}
-	for id, st := range s.devices {
-		if _, a := chOf(id); a != nil {
-			a.devices++
-			a.gammaSum += st.estimator.Gamma()
-		}
-	}
-	for _, r := range reqs {
-		if _, a := chOf(r.DeviceID); a != nil {
-			a.admitted++
-		}
-	}
-	for i := range vcs {
-		for id, v := range vcs[i].Decision.Verdicts {
-			if _, a := chOf(id); a != nil && v.Eligible {
-				a.eligible++
-			}
-		}
-		for id, on := range vcs[i].Decision.Transform {
-			if _, a := chOf(id); a != nil && on {
-				a.selected++
-			}
-		}
-	}
-
-	// Fold into the persistent per-channel stats; channels that lost all
-	// their devices stay listed with zeroed live gauges (their lifetime
-	// counters remain meaningful).
-	for ch, cs := range s.fleet {
-		if _, live := byCh[ch]; !live {
-			cs.devices, cs.admitted, cs.eligible, cs.selected = 0, 0, 0, 0
-		}
-	}
-	for ch, a := range byCh {
 		cs := s.fleet[ch]
 		if cs == nil {
 			cs = &channelStat{}
 			s.fleet[ch] = cs
 		}
 		cs.devices = a.devices
-		cs.admitted = a.admitted
-		cs.eligible = a.eligible
-		cs.selected = a.selected
-		mean := 0.0
-		if a.devices > 0 {
-			mean = a.gammaSum / float64(a.devices)
-		}
+		mean := a.mean(a.gamma)
 		if cs.gammaSeen {
 			cs.gammaDrift = abs(mean - cs.gammaMean)
 		}
 		cs.gammaMean = mean
 		cs.gammaSeen = true
+	}
+	// Every request's device is known, so its channel has a row.
+	for _, r := range reqs {
+		s.fleet[s.devices[r.DeviceID].channel].admitted++
+	}
+	for i := range vcs {
+		for id, v := range vcs[i].Decision.Verdicts {
+			if v.Eligible {
+				s.fleet[s.devices[id].channel].eligible++
+			}
+		}
+		for id, on := range vcs[i].Decision.Transform {
+			if on {
+				s.fleet[s.devices[id].channel].selected++
+			}
+		}
 	}
 
 	vm := s.metrics.vc
@@ -273,12 +298,8 @@ func (s *Server) handleFleet(w http.ResponseWriter, _ *http.Request) {
 		Channels:      make([]ChannelSummary, 0, len(s.fleet)),
 		Streams:       s.pool.VCStats(),
 	}
-	// Device and pending-report counts come from the live maps so the
-	// fleet view is current between ticks; the rest is per-last-tick.
-	devices := map[string]int{}
-	for _, st := range s.devices {
-		devices[st.channel]++
-	}
+	// Device and pending-report counts are current between ticks; the
+	// rest is per-last-tick.
 	pending := map[string]int{}
 	for id := range s.pending {
 		if st, ok := s.devices[id]; ok {
@@ -286,9 +307,13 @@ func (s *Server) handleFleet(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	for ch, cs := range s.fleet {
+		n := 0
+		if a := s.posterior[ch]; a != nil {
+			n = a.devices
+		}
 		resp.Channels = append(resp.Channels, ChannelSummary{
 			Channel:           ch,
-			Devices:           devices[ch],
+			Devices:           n,
 			PendingReports:    pending[ch],
 			Admitted:          cs.admitted,
 			Eligible:          cs.eligible,
@@ -299,22 +324,14 @@ func (s *Server) handleFleet(w http.ResponseWriter, _ *http.Request) {
 		})
 	}
 	// Channels with devices but no tick yet still deserve a row.
-	for ch, n := range devices {
-		if _, ok := s.fleet[ch]; !ok {
+	for ch, a := range s.posterior {
+		if _, ok := s.fleet[ch]; !ok && a.devices > 0 {
 			resp.Channels = append(resp.Channels, ChannelSummary{
-				Channel: ch, Devices: n, PendingReports: pending[ch],
+				Channel: ch, Devices: a.devices, PendingReports: pending[ch],
 			})
 		}
 	}
-	sortChannels(resp.Channels)
+	// Channel IDs are unique, so this order is a stable wire form.
+	slices.SortFunc(resp.Channels, func(a, b ChannelSummary) int { return strings.Compare(a.Channel, b.Channel) })
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// sortChannels orders fleet rows by channel ID for a stable wire form.
-func sortChannels(chs []ChannelSummary) {
-	for i := 1; i < len(chs); i++ {
-		for j := i; j > 0 && chs[j].Channel < chs[j-1].Channel; j-- {
-			chs[j], chs[j-1] = chs[j-1], chs[j]
-		}
-	}
 }

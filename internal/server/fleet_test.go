@@ -5,8 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -78,7 +81,8 @@ func reportOn(id, channel string) ReportRequest {
 func TestFleetEndpointMatchesRegistry(t *testing.T) {
 	_, ts := fleetServer(t, 64)
 
-	// Three devices on the default channel, two on "music", then a tick.
+	// Three devices on the default channel, two on "music", one that
+	// switches from the default channel to "music", then a tick.
 	for i := 0; i < 3; i++ {
 		if resp := postJSON(t, ts.URL+"/v1/report", validReport(fmt.Sprintf("d%d", i)), nil); resp.StatusCode != 200 {
 			t.Fatalf("report: %d", resp.StatusCode)
@@ -86,6 +90,11 @@ func TestFleetEndpointMatchesRegistry(t *testing.T) {
 	}
 	for i := 0; i < 2; i++ {
 		if resp := postJSON(t, ts.URL+"/v1/report", reportOn(fmt.Sprintf("m%d", i), "music"), nil); resp.StatusCode != 200 {
+			t.Fatalf("report: %d", resp.StatusCode)
+		}
+	}
+	for _, ch := range []string{"ch", "music"} {
+		if resp := postJSON(t, ts.URL+"/v1/report", reportOn("sw", ch), nil); resp.StatusCode != 200 {
 			t.Fatalf("report: %d", resp.StatusCode)
 		}
 	}
@@ -103,10 +112,10 @@ func TestFleetEndpointMatchesRegistry(t *testing.T) {
 	if len(fleet.Channels) != 2 || fleet.Channels[0].Channel != "ch" || fleet.Channels[1].Channel != "music" {
 		t.Fatalf("channels = %+v", fleet.Channels)
 	}
-	if fleet.Channels[0].Devices != 3 || fleet.Channels[1].Devices != 2 {
+	if fleet.Channels[0].Devices != 3 || fleet.Channels[1].Devices != 3 {
 		t.Fatalf("device counts = %+v", fleet.Channels)
 	}
-	if fleet.Channels[0].Admitted != 3 || fleet.Channels[1].Admitted != 2 {
+	if fleet.Channels[0].Admitted != 3 || fleet.Channels[1].Admitted != 3 {
 		t.Fatalf("admitted counts = %+v", fleet.Channels)
 	}
 	if len(fleet.Streams) != 1 || fleet.Streams[0].Key != "edge" || fleet.Streams[0].Ticks != 1 {
@@ -115,6 +124,11 @@ func TestFleetEndpointMatchesRegistry(t *testing.T) {
 
 	// The registry's labeled series must agree with the fleet rollup.
 	text := scrape(t, ts.URL)
+	for _, ch := range []string{"ch", "music"} {
+		if got := metricValue(t, text, fmt.Sprintf("lpvs_vc_devices{vc=%q}", ch)); got != 3 {
+			t.Errorf("lpvs_vc_devices{vc=%q} = %v, want 3", ch, got)
+		}
+	}
 	for _, c := range fleet.Channels {
 		label := fmt.Sprintf("{vc=%q}", c.Channel)
 		if got := metricValue(t, text, "lpvs_vc_devices"+label); got != float64(c.Devices) {
@@ -343,5 +357,140 @@ func TestConcurrentFleetScrape(t *testing.T) {
 	}
 	if len(fleet.Streams) != 1 || fleet.Streams[0].Ticks == 0 {
 		t.Fatalf("streams after hammer = %+v", fleet.Streams)
+	}
+}
+
+// TestPosteriorAggregatesMatchRecount drives a seeded random sequence
+// of device arrivals, channel switches, accepted and rejected
+// observations, ticks and snapshot restores over three channels. After
+// every step the per-channel posterior aggregates the daemon maintains
+// must match a full recount over its devices.
+func TestPosteriorAggregatesMatchRecount(t *testing.T) {
+	channels := []string{"ch", "music", "news"}
+	var extra []*video.Video
+	for i, name := range channels[1:] {
+		v, err := video.Generate(stats.NewRNG(int64(2+i)), video.DefaultGenConfig(name, video.Music, 60))
+		if err != nil {
+			t.Fatal(err)
+		}
+		extra = append(extra, v)
+	}
+	snapDir := t.TempDir()
+	boot := func() (*Server, *httptest.Server) {
+		s, err := New(Config{Stream: testStream(t), ExtraStreams: extra, ServerStreams: -1,
+			Lambda: 1, SnapshotDir: snapDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s, httptest.NewServer(s.Handler())
+	}
+	s, ts := boot()
+	defer func() { ts.Close(); s.Close() }()
+
+	rng := rand.New(rand.NewPCG(13, 7))
+	var ids []string
+	chOf := map[string]string{}
+	report := func(id, ch string) {
+		if resp := postJSON(t, ts.URL+"/v1/report", reportOn(id, ch), nil); resp.StatusCode != 200 {
+			t.Fatalf("report %s on %s: %d", id, ch, resp.StatusCode)
+		}
+		chOf[id] = ch
+	}
+	const (
+		opNew = iota
+		opSwitch
+		opObserve
+		opReject
+		opTick
+		opRestore
+	)
+	var done [opRestore + 1]int
+	for step := 0; step < 240; step++ {
+		op := rng.IntN(opRestore)
+		switch {
+		case step%80 == 79:
+			op = opRestore
+		case len(ids) == 0:
+			op = opNew
+		}
+		switch op {
+		case opNew:
+			id := fmt.Sprintf("d%03d", len(ids))
+			ids = append(ids, id)
+			report(id, channels[rng.IntN(len(channels))])
+		case opSwitch:
+			id := ids[rng.IntN(len(ids))]
+			cur := slices.Index(channels, chOf[id])
+			report(id, channels[(cur+1+rng.IntN(len(channels)-1))%len(channels)])
+		case opObserve:
+			req := ObserveRequest{DeviceID: ids[rng.IntN(len(ids))], Reduction: 0.1 + 0.4*rng.Float64()}
+			if resp := postJSON(t, ts.URL+"/v1/observe", req, nil); resp.StatusCode != 200 {
+				t.Fatalf("observe: %d", resp.StatusCode)
+			}
+		case opReject:
+			// 0 and 1 are outside (0, 1): the estimator stays untouched.
+			req := ObserveRequest{DeviceID: ids[rng.IntN(len(ids))], Reduction: float64(rng.IntN(2))}
+			if resp := postJSON(t, ts.URL+"/v1/observe", req, nil); resp.StatusCode != 400 {
+				t.Fatalf("rejected observe: %d", resp.StatusCode)
+			}
+		case opTick:
+			if resp := postJSON(t, ts.URL+"/v1/tick", struct{}{}, nil); resp.StatusCode != 200 {
+				t.Fatalf("tick: %d", resp.StatusCode)
+			}
+		case opRestore:
+			if err := s.SaveSnapshot(); err != nil {
+				t.Fatal(err)
+			}
+			ts.Close()
+			s.Close()
+			s, ts = boot()
+			if s.restorePath != RestoreSnapshot {
+				t.Fatalf("restore path %q: %s", s.restorePath, s.restoreDetail)
+			}
+		}
+		done[op]++
+		checkPosteriorAggs(t, s, step)
+	}
+	for op, n := range done {
+		if n == 0 {
+			t.Fatalf("op %d never ran", op)
+		}
+	}
+}
+
+// checkPosteriorAggs compares s.posterior with a recount over
+// s.devices: counts exactly, sums within 1e-9 relative.
+func checkPosteriorAggs(t *testing.T, s *Server, step int) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	want := map[string]*posteriorAgg{}
+	for _, st := range s.devices {
+		w := want[st.channel]
+		if w == nil {
+			w = &posteriorAgg{}
+			want[st.channel] = w
+		}
+		w.devices++
+		w.observations += st.estimator.Observations()
+		w.gamma += st.estimator.Gamma()
+		w.sigma += st.estimator.Sigma()
+		w.uncer += st.estimator.Uncertainty()
+	}
+	for ch, got := range s.posterior {
+		if want[ch] == nil && *got != (posteriorAgg{}) {
+			t.Fatalf("step %d: channel %q has no devices but aggregate %+v", step, ch, *got)
+		}
+	}
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(math.Abs(a), math.Abs(b)) }
+	for ch, w := range want {
+		got := s.posterior[ch]
+		if got == nil {
+			t.Fatalf("step %d: channel %q missing from the aggregates", step, ch)
+		}
+		if got.devices != w.devices || got.observations != w.observations ||
+			!near(got.gamma, w.gamma) || !near(got.sigma, w.sigma) || !near(got.uncer, w.uncer) {
+			t.Fatalf("step %d: channel %q aggregate %+v, recount %+v", step, ch, *got, *w)
+		}
 	}
 }

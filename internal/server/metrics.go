@@ -186,31 +186,21 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Mean truncated-posterior gamma estimate across devices.", func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			mean, _ := s.gammaStatsLocked()
-			return mean
+			t := s.gammaStatsLocked()
+			return t.mean(t.gamma)
 		})
 	reg.GaugeFunc("lpvs_gamma_uncertainty_mean",
 		"Mean truncated-posterior standard deviation across devices.", func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			sum := 0.0
-			for _, st := range s.devices {
-				sum += st.estimator.Uncertainty()
-			}
-			if len(s.devices) == 0 {
-				return 0
-			}
-			return sum / float64(len(s.devices))
+			t := s.gammaStatsLocked()
+			return t.mean(t.uncer)
 		})
 	reg.CounterFunc("lpvs_gamma_observations_total",
 		"Bayesian updates folded across all device estimators.", func() float64 {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			n := 0
-			for _, st := range s.devices {
-				n += st.estimator.Observations()
-			}
-			return float64(n)
+			return float64(s.gammaStatsLocked().observations)
 		})
 	// Ingest-pool telemetry (DESIGN.md §16): atomic-backed so a scrape
 	// never contends with the report hot path.
@@ -277,21 +267,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 	return m
 }
 
-// gammaStatsLocked aggregates the Bayesian telemetry across devices.
-// Callers hold s.mu.
-func (s *Server) gammaStatsLocked() (gammaMean, sigmaMean float64) {
-	n := len(s.devices)
-	if n == 0 {
-		return 0, 0
-	}
-	for _, st := range s.devices {
-		snap := st.estimator.Snapshot()
-		gammaMean += snap.Gamma
-		sigmaMean += snap.Sigma
-	}
-	return gammaMean / float64(n), sigmaMean / float64(n)
-}
-
 // observeTick records one tick's scheduler breakdown and refreshes the
 // Bayesian drift gauges. Called with s.mu held (the gauges themselves
 // are lock-free).
@@ -333,7 +308,8 @@ func (s *Server) observeTick(stats TickStats) {
 		s.tickSlow.Add(1)
 	}
 
-	gammaMean, sigmaMean := s.gammaStatsLocked()
+	t := s.gammaStatsLocked()
+	gammaMean, sigmaMean := t.mean(t.gamma), t.mean(t.sigma)
 	if s.tickSeen {
 		m.gammaDrift.Set(abs(gammaMean - s.prevGammaMean))
 		m.gammaSigmaDrift.Set(abs(sigmaMean - s.prevSigmaMean))

@@ -227,6 +227,10 @@ func (s *Server) applySnapshot(snap *persist.Snapshot) error {
 	s.slot = snap.Slot
 	s.devices = devices
 	s.pending = pending
+	clear(s.posterior)
+	for _, st := range devices {
+		s.tallyLocked(st.channel, st.estimator, 1)
+	}
 	// Warm seeds are optional and decision-neutral; a config-signature
 	// mismatch inside RestoreStreamStates just cold-starts the stream.
 	s.pool.RestoreStreamStates(snap.Streams)

@@ -240,6 +240,8 @@ type Server struct {
 	// stream snapshot per state key so stream counters emit as deltas.
 	fleet  map[string]*channelStat
 	prevVC map[string]scheduler.VCStat
+	// posterior holds each channel's estimator sums (fleet.go).
+	posterior map[string]*posteriorAgg
 	// prevGammaMean/prevSigmaMean hold the cluster telemetry of the
 	// previous tick, from which the drift gauges are derived.
 	prevGammaMean, prevSigmaMean float64
@@ -315,6 +317,7 @@ func New(cfg Config) (*Server, error) {
 		pending:   make(map[string]scheduler.Request),
 		devices:   make(map[string]*deviceState),
 		fleet:     make(map[string]*channelStat),
+		posterior: make(map[string]*posteriorAgg),
 		prevVC:    make(map[string]scheduler.VCStat),
 		maxBody:   cfg.MaxBodyBytes,
 		shardMap:  cfg.ShardMap,
@@ -593,7 +596,13 @@ func (s *Server) acceptReportLocked(req ReportRequest) *apiError {
 	}
 	// Commit device state only after full validation so a rejected
 	// report leaves no trace.
-	s.devices[req.DeviceID] = st
+	if !ok {
+		s.devices[req.DeviceID] = st
+		s.tallyLocked(channel, st.estimator, 1)
+	} else if st.channel != channel {
+		s.tallyLocked(st.channel, st.estimator, -1)
+		s.tallyLocked(channel, st.estimator, 1)
+	}
 	st.spec = spec
 	st.channel = channel
 	s.pending[req.DeviceID] = sreq
@@ -921,7 +930,9 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	_, bsp := span.Child(ctx, "bayes-update")
+	s.tallyLocked(st.channel, st.estimator, -1)
 	err := st.estimator.Observe(req.Reduction)
+	s.tallyLocked(st.channel, st.estimator, 1)
 	bsp.Set("gamma", st.estimator.Gamma())
 	bsp.SetInt("observations", st.estimator.Observations())
 	bsp.End()
